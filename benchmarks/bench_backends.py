@@ -6,6 +6,8 @@ plain Python over numpy arrays otherwise; the backend is fixed at import time
 by the ``PEPBOUND_BACKEND`` environment variable.  This script launches one
 fresh interpreter per backend (the choice cannot change inside a process),
 runs the same timed workloads in each, and prints a side-by-side table.
+Only backends that can run here are timed: numba where it is importable,
+numpy always.  The speedup column appears when both ran.
 
 Usage:
     python3 benchmarks/bench_backends.py [--repeats K] [--scale S]
@@ -16,6 +18,7 @@ workload keeps that out of the timings.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -58,14 +61,13 @@ P = random_polynomial(PolySpec(kind="p1", n=4 * scale, d=4, seed=9))
 cfg = ExperimentConfig(
     poly=PolySpec(kind="p1", n=5 * scale, d=4, seed=9),
     linearization="l2",
-    parallel=False,
 )
 
 results = {
     "backend": BACKEND,
     "qz %dx%d" % (nqz, nqz): timed(generalized_schur, A, B),
     "svd %dx%d" % (nsv, nsv): timed(singular_values, G),
-    "dd refine d=4 n=%d" % (4 * scale): timed(reference_spectrum, P, "l1", False),
+    "dd refine d=4 n=%d" % (4 * scale): timed(reference_spectrum, P, "l1"),
     "experiment d=4 n=%d" % (5 * scale): timed(run_experiment, cfg),
 }
 print(json.dumps(results))
@@ -96,22 +98,34 @@ def main() -> None:
                         help="problem-size multiplier")
     args = parser.parse_args()
 
+    backends = ["numpy"]
+    if importlib.util.find_spec("numba") is not None:
+        backends.insert(0, "numba")
+    else:
+        print("numba is not importable; timing the numpy backend only")
+
     rows = {}
-    for backend in ("numba", "numpy"):
+    for backend in backends:
         print("running %s backend ..." % backend, flush=True)
         res = run_backend(backend, args.repeats, args.scale)
         assert res.pop("backend") == backend
         for name, secs in res.items():
             rows.setdefault(name, {})[backend] = secs
 
+    both = len(backends) == 2
     width = max(len(name) for name in rows)
     print()
-    print("%-*s  %12s  %12s  %8s" % (width, "workload", "numba [s]",
-                                     "numpy [s]", "speedup"))
+    header = "%-*s" % (width, "workload")
+    for backend in backends:
+        header += "  %12s" % ("%s [s]" % backend)
+    print(header + ("  %8s" % "speedup" if both else ""))
     for name, r in rows.items():
-        print("%-*s  %12.4f  %12.4f  %7.1fx"
-              % (width, name, r["numba"], r["numpy"],
-                 r["numpy"] / r["numba"]))
+        line = "%-*s" % (width, name)
+        for backend in backends:
+            line += "  %12.4f" % r[backend]
+        if both:
+            line += "  %7.1fx" % (r["numpy"] / r["numba"])
+        print(line)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,7 @@ residual-over-separation error bounds validated against extended-precision
 reference eigenpairs.
 
 Hot numerical kernels are compiled with numba when available; set
-``PEPBOUND_BACKEND=numpy`` to force the pure-NumPy fallback and
-``PEPBOUND_THREADS`` to size the per-eigenpair thread pool (0 = auto).
+``PEPBOUND_BACKEND=numpy`` to force the pure-NumPy fallback.
 """
 
 __version__ = "0.1.0"

@@ -47,13 +47,9 @@ def jit(fn):
 
 
 def thread_count() -> int:
-    """Worker count for parallel maps, from ``PEPBOUND_THREADS`` (0 = auto)."""
-    raw = os.environ.get("PEPBOUND_THREADS", "0")
-    try:
-        k = int(raw)
-    except ValueError:
-        warnings.warn("PEPBOUND_THREADS=%r is not an integer; using auto" % raw)
-        k = 0
-    if k <= 0:
-        return os.cpu_count() or 1
-    return k
+    """Worker count of the pipeline: always 1, since it runs on one thread.
+
+    Kept because the benchmark records it as the ``workers`` field of its
+    run provenance.
+    """
+    return 1

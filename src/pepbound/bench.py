@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from ._accel import BACKEND, thread_count
+from ._accel import BACKEND
 from .bounds import (
     BoundRow,
     pep_bound_frobenius,
@@ -79,16 +78,13 @@ class ExperimentConfig:
     """What to run: polynomial recipe, linearization preset, outputs.
 
     The random seed lives inside ``poly`` so one value controls the whole
-    experiment.  ``out_csv``/``out_plot`` are optional output paths;
-    ``parallel`` toggles the per-eigenpair thread pool (sized by the
-    ``PEPBOUND_THREADS`` environment variable, 0 = auto).
+    experiment.  ``out_csv``/``out_plot`` are optional output paths.
     """
 
     poly: PolySpec
     linearization: str
     out_csv: str | None = None
     out_plot: str | None = None
-    parallel: bool = True
 
     def __post_init__(self) -> None:
         lin = self.linearization.lower()
@@ -152,11 +148,7 @@ def run_experiment(
     P = _build_polynomial(cfg.poly)
     form = preset_linearization(P, cfg.linearization)
     L = assemble(P, form)
-    refs = (
-        reference
-        if reference is not None
-        else reference_spectrum(P, parallel=cfg.parallel)
-    )
+    refs = reference if reference is not None else reference_spectrum(P)
     if not refs:
         raise DomainError("empty reference spectrum")
 
@@ -171,21 +163,23 @@ def run_experiment(
             finite.append(complex(ev))
 
     d = P.d
-
-    def stage(lam: complex):
-        """Everything per eigenvalue up to the separation: a diagnostic
-        string, or ``(lam, lam_ref, resid, angle, ref_i, flags, v_ref)``."""
+    # Everything per eigenvalue up to the separation: a diagnostic string,
+    # or ``(lam, lam_ref, resid, angle, ref_i, flags, v_ref)``.
+    results: list = []
+    for lam in finite:
         try:
             v = inverse_iteration_vector(L.A, L.B, lam)
             xt = recover_eigenvector(v, form, lam, poly=P)
         except NumericalError as exc:
-            return f"eigenvector extraction failed at {lam!r}: {exc}"
+            results.append(f"eigenvector extraction failed at {lam!r}: {exc}")
+            continue
         ref_i, flags = _pair_reference(lam, refs)
         ref = refs[ref_i]
         x_ref = ref.x_complex
         nrm = np.linalg.norm(x_ref)
         if nrm == 0.0:
-            return f"reference eigenvector is zero at {lam!r}"
+            results.append(f"reference eigenvector is zero at {lam!r}")
+            continue
         x_ref = x_ref / nrm
         resid = residual_norm(P, lam, xt)
         angle = sin_acute_angle(x_ref, xt)
@@ -193,14 +187,7 @@ def run_experiment(
         variant = "H1" if abs(lam_ref) < 1.0 else "H2"
         fp = right_factor(form, variant)
         v_ref = fp.h(lam_ref) @ x_ref
-        return (lam, lam_ref, resid, angle, ref_i, flags, v_ref)
-
-    workers = thread_count() if cfg.parallel else 1
-    if workers > 1 and len(finite) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(stage, finite))
-    else:
-        results = [stage(lam) for lam in finite]
+        results.append((lam, lam_ref, resid, angle, ref_i, flags, v_ref))
 
     pending = [res for res in results if not isinstance(res, str)]
     claimed = Counter(ref_i for _, _, _, _, ref_i, _, _ in pending)
@@ -538,8 +525,9 @@ def run_invariant_suite(seed: int, d: int, n: int) -> list[tuple[str, bool, str]
     results.append(("separation-diagonal", abs(sep - 0.9) <= 1e-14, f"sep = {sep!r}"))
 
     # 5. full pipeline: bound validity and bound ordering on this instance
+    refs = reference_spectrum(P)
     cfg = ExperimentConfig(poly=spec, linearization="l1")
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, reference=refs)
     clean = [r for r in report.rows if not r.flags]
     valid = all(r.sin_angle <= r.bound_kron + 1e-15 for r in clean)
     order = all(
@@ -554,7 +542,6 @@ def run_invariant_suite(seed: int, d: int, n: int) -> list[tuple[str, bool, str]
     results.append(("bound-ordering", order, "frob <= kron <= sqrt(d)*frob"))
 
     # 6. eigenvalue consistency: computed vs reference, relative 1e-8
-    refs = reference_spectrum(P, parallel=False)
     worst = 0.0
     for r in report.rows:
         dist = min(abs(r.lambda_computed - q.lam.value) for q in refs)
@@ -563,7 +550,7 @@ def run_invariant_suite(seed: int, d: int, n: int) -> list[tuple[str, bool, str]
         ("eigenvalue-consistency", worst <= 1e-8, f"worst relative distance {worst:.2e}")
     )
 
-    # 7. CSV determinism
+    # 7. CSV determinism, including a fresh reference spectrum
     again = run_experiment(cfg)
     same = render_csv(report) == render_csv(again)
     results.append(("csv-determinism", same, "byte-identical rerun"))

@@ -14,7 +14,8 @@ All bounds share the shape ``residual / (weight * separation)``:
 A zero separation means the shifted pencil is numerically singular at
 ``lam``; every bound then degenerates to ``+inf``, which callers surface as a
 flagged row rather than an exception so no eigenvector index is ever dropped
-from a report.
+from a report.  An infinite separation (an empty complement: the pencil is
+1x1, so the eigenvector is a scalar with no error) makes every bound 0.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def sin_acute_angle(u: np.ndarray, w: np.ndarray) -> float:
 
 def _check_sep(sep: float) -> float:
     sep = float(sep)
-    if sep < 0.0 or not math.isfinite(sep):
-        raise DomainError("separation must be a finite nonnegative real")
+    if sep < 0.0 or math.isnan(sep):
+        raise DomainError("separation must be a nonnegative real or +inf")
     return sep
 
 

@@ -65,11 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument("--out", default=None, help="CSV output path")
     runp.add_argument("--plot", default=None, help="SVG plot output path")
-    runp.add_argument(
-        "--no-parallel",
-        action="store_true",
-        help="disable the per-eigenpair thread pool",
-    )
 
     verp = sub.add_parser("verify", help="run the invariant suite")
     verp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -79,11 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     orap = sub.add_parser("oracle", help="emit a reference spectrum cache")
     _add_poly_flags(orap)
     orap.add_argument("--out", required=True, help="JSON cache output path")
-    orap.add_argument(
-        "--no-parallel",
-        action="store_true",
-        help="disable the per-eigenpair thread pool",
-    )
     return parser
 
 
@@ -93,7 +83,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         linearization=args.linearization,
         out_csv=args.out,
         out_plot=args.plot,
-        parallel=not args.no_parallel,
     )
     report = run_experiment(cfg)
     unflagged = sum(1 for r in report.rows if not r.flags)
@@ -127,7 +116,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         P = load_polynomial(spec.path)
     else:
         P = random_polynomial(spec)
-    refs = reference_spectrum(P, parallel=not args.no_parallel)
+    refs = reference_spectrum(P)
     save_reference_cache(args.out, P, refs)
     bad = sum(1 for r in refs if not r.converged)
     print(f"wrote {len(refs)} reference eigenpairs to {args.out} ({bad} unconverged)")

@@ -461,12 +461,11 @@ def gep_eigenpairs(
     A, B = _checked_square_pair(A, B)
     if schur is None:
         schur = generalized_schur(A, B)
-    normB = float(np.linalg.norm(schur.TB))
     pairs: list[GEPEigenpair] = []
-    for i in range(schur.N):
+    for i, ev in enumerate(eigenvalues(schur)):
         alpha = complex(schur.TA[i, i])
         beta = complex(schur.TB[i, i])
-        if abs(beta) <= 1e-14 * normB:
+        if ev == _INF:
             pairs.append(
                 GEPEigenpair(alpha=alpha, beta=beta, lam=_INF, finite=False, v=None)
             )

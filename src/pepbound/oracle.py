@@ -22,12 +22,10 @@ was refined.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import thread_count
 from ._kernels import dd_newton_refine
 from .denseig import gep_eigenpairs, spectral_norm
 from .doubledouble import cdd_div
@@ -247,7 +245,6 @@ def _flag_clusters(refs: list[RefEigenpair]) -> list[RefEigenpair]:
 def reference_spectrum(
     P: MatrixPolynomial,
     seed_label: str = "l1",
-    parallel: bool = True,
 ) -> list[RefEigenpair]:
     """All ``d*n`` reference eigenpairs of ``P``, sorted by ``|lam|``.
 
@@ -278,7 +275,8 @@ def reference_spectrum(
     L = assemble(P, form)
     pairs = gep_eigenpairs(L.A, L.B)
 
-    def polish(pair) -> RefEigenpair:
+    refs = []
+    for pair in pairs:
         if not pair.finite:
             raise InfiniteEigenvalue(
                 "dense solve produced an infinite eigenvalue despite a "
@@ -286,27 +284,22 @@ def reference_spectrum(
             )
         seed_x = recover_eigenvector(pair.v, form, pair.lam, poly=P)
         try:
-            return refine_eigenpair(P, pair.lam, seed_x, max_coeff_norm=maxA)
+            refs.append(refine_eigenpair(P, pair.lam, seed_x, max_coeff_norm=maxA))
         except (NumericalError, DomainError):
             x_dd = np.zeros((P.n, 4))
             x_dd[:, 0] = seed_x.real
             x_dd[:, 2] = seed_x.imag
             res = residual_norm(P, pair.lam, seed_x)
-            return RefEigenpair(
-                lam=ExtendedComplex.from_complex(pair.lam),
-                x=x_dd,
-                residual=res,
-                converged=False,
-                iterations=0,
-                history=(res,),
+            refs.append(
+                RefEigenpair(
+                    lam=ExtendedComplex.from_complex(pair.lam),
+                    x=x_dd,
+                    residual=res,
+                    converged=False,
+                    iterations=0,
+                    history=(res,),
+                )
             )
-
-    workers = thread_count() if parallel else 1
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            refs = list(ex.map(polish, pairs))
-    else:
-        refs = [polish(p) for p in pairs]
 
     refs.sort(key=lambda r: (abs(r.lam.value), r.lam.value.real, r.lam.value.imag))
     return _flag_clusters(refs)

@@ -25,7 +25,7 @@ def test_backend_is_a_known_name():
 
 
 def test_thread_count_positive():
-    assert thread_count() >= 1
+    assert thread_count() == 1
 
 
 # =======================
@@ -89,7 +89,7 @@ from pepbound.bench import ExperimentConfig, render_csv, run_experiment
 from pepbound.polyval import PolySpec
 
 config = ExperimentConfig(poly=PolySpec(kind="p1", n=4, d=3, seed=5),
-                          linearization="%s", parallel=False)
+                          linearization="%s")
 report = run_experiment(config)
 sys.stdout.write(render_csv(report))
 """
@@ -125,7 +125,7 @@ def test_backends_agree_on_experiment_rows():
 
 def test_in_process_report_matches_numpy_subprocess():
     config = ExperimentConfig(poly=PolySpec(kind="p1", n=4, d=3, seed=5),
-                              linearization="l1", parallel=False)
+                              linearization="l1")
     report = run_experiment(config)
     here = _parse_rows(render_csv(report))
     there = _parse_rows(_run_python(EXPERIMENT_CODE % "l1", "numpy"))

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -66,11 +67,23 @@ def test_run_experiment_bound_validity_small():
         assert r.flags == ()
 
 
-def test_run_experiment_deterministic_and_parallel_agree():
+def test_run_experiment_deterministic():
     a = render_csv(run_experiment(_small_config()))
     b = render_csv(run_experiment(_small_config()))
-    c = render_csv(run_experiment(_small_config(parallel=False)))
-    assert a == b == c
+    assert a == b
+
+
+def test_pipeline_starts_no_threads(monkeypatch):
+    from pepbound.polyval import random_polynomial
+
+    def refuse(self):
+        raise RuntimeError("the pipeline must not start threads")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = _small_config(poly=PolySpec(kind="p1", n=2, d=2, seed=31))
+    refs = reference_spectrum(random_polynomial(cfg.poly))
+    assert len(refs) == 4
+    assert len(run_experiment(cfg).rows) == 4
 
 
 def test_run_experiment_accepts_precomputed_reference():
@@ -111,12 +124,31 @@ def test_run_experiment_flags_clustered_references(tmp_path):
     assert len(flagged) == 2
 
 
+def test_run_experiment_scalar_linear_polynomial(tmp_path):
+    # n = d = 1: the pencil is 1x1, the separation is +inf (empty
+    # complement) and the scalar eigenvector has zero error and bound.
+    P = MatrixPolynomial(np.array([[[-0.5]], [[1.0]]], dtype=np.complex128))
+    path = str(tmp_path / "scalar.json")
+    save_polynomial(path, P)
+    cfg = ExperimentConfig(
+        poly=PolySpec(kind="file", n=1, d=1, seed=0, path=path),
+        linearization="l1",
+    )
+    report = run_experiment(cfg)
+    assert report.diagnostics == ()
+    (row,) = report.rows
+    assert row.flags == ()
+    assert row.sin_angle == 0.0
+    assert row.sep == math.inf
+    assert row.bound_kron == 0.0
+
+
 # =======================
 # CSV format
 # =======================
 
 def test_run_experiment_flags_only_the_row_whose_sep_fails(monkeypatch):
-    cfg = _small_config(parallel=False)
+    cfg = _small_config()
     clean = run_experiment(cfg)
     real_kernel = _kernels.jacobi_singular_values_batch
 

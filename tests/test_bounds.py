@@ -173,6 +173,26 @@ def test_pep_bound_frobenius_values():
     assert pep_bound_frobenius(1e-8, 1.0, 4, 0.0) == math.inf
 
 
+def test_bounds_at_infinite_separation_are_zero():
+    # sep = +inf means an empty complement (a 1x1 pencil): zero error.
+    assert gep_eigvec_bound(1e-10, 1.0, math.inf) == 0.0
+    assert pep_bound_general(1.0, 1e-8, math.inf) == 0.0
+    assert pep_bound_kronecker(1e-12, 2.0, 1, math.inf) == 0.0
+    assert pep_bound_frobenius(1e-8, 1.0, 1, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("sep", [math.nan, -1e-3, -math.inf])
+def test_bounds_reject_nan_and_negative_separation(sep):
+    with pytest.raises(DomainError):
+        gep_eigvec_bound(1e-10, 1.0, sep)
+    with pytest.raises(DomainError):
+        pep_bound_general(1.0, 1e-8, sep)
+    with pytest.raises(DomainError):
+        pep_bound_kronecker(1e-12, 2.0, 5, sep)
+    with pytest.raises(DomainError):
+        pep_bound_frobenius(1e-8, 1.0, 4, sep)
+
+
 def test_ratio_bracket_sweep():
     # bound_kron / bound_frob stays in [1, sqrt(d)] across magnitudes
     gen = SplitMix64(65)

@@ -42,14 +42,26 @@ def test_run_accepts_polynomial_file(tmp_path, capsys):
     path = str(tmp_path / "poly.json")
     save_polynomial(path, P)
     out = str(tmp_path / "rows.csv")
-    code = main(["run", "--poly", path, "--out", out, "--no-parallel"])
+    code = main(["run", "--poly", path, "--out", out])
     assert code == 0
     with open(out, encoding="utf-8") as fh:
         assert len(fh.read().splitlines()) == 3  # header + 2 eigenvalues
 
 
+def test_run_scalar_linear_polynomial_file(tmp_path, capsys):
+    P = MatrixPolynomial(np.array([[[-0.5]], [[1.0]]], dtype=np.complex128))
+    path = str(tmp_path / "scalar.json")
+    save_polynomial(path, P)
+    assert main(["run", "--poly", path]) == 0
+    assert "1 eigenpairs (1 unflagged)" in capsys.readouterr().out
+
+
 def test_run_unknown_linearization_is_usage_error(capsys):
     assert main(["run", "--linearization", "l9"]) == 2
+
+
+def test_run_no_parallel_flag_is_usage_error(capsys):
+    assert main(["run", "--no-parallel"]) == 2
 
 
 def test_run_missing_polynomial_file(tmp_path, capsys):

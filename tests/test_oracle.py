@@ -176,16 +176,6 @@ def test_reference_spectrum_seed_independence():
         assert abs(a.lam.value - b.lam.value) <= 1e-20 * max(1.0, abs(a.lam.value))
 
 
-def test_reference_spectrum_parallel_matches_sequential():
-    P = random_polynomial(PolySpec(kind="p1", n=2, d=3, seed=555))
-    seq = reference_spectrum(P, parallel=False)
-    par = reference_spectrum(P, parallel=True)
-    for a, b in zip(seq, par):
-        assert_array_equal(a.lam.as_array(), b.lam.as_array())
-        assert_array_equal(a.x, b.x)
-        assert a.converged == b.converged
-
-
 def test_reference_spectrum_rejects_singular_leading_coefficient():
     eye = np.eye(2, dtype=np.complex128)
     Ad = np.diag([1.0, 0.0]).astype(np.complex128)
