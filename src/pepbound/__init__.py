@@ -6,13 +6,13 @@ polynomial eigenvectors from the block structure, and certifies them with
 residual-over-separation error bounds validated against extended-precision
 reference eigenpairs.
 
-Hot numerical kernels are compiled with numba when available; set
-``PEPBOUND_BACKEND=numpy`` to force the pure-NumPy fallback.
+The numerical kernels are plain Python over numpy arrays; there is one
+backend, named by :data:`BACKEND`.
 """
 
 __version__ = "0.1.0"
 
-from ._accel import BACKEND, NUMBA_ENABLED
+from ._accel import BACKEND
 from .bench import (
     ExperimentConfig,
     ExperimentReport,
@@ -104,7 +104,6 @@ from .rng import SplitMix64
 __all__ = [
     "__version__",
     "BACKEND",
-    "NUMBA_ENABLED",
     # bench
     "ExperimentConfig",
     "ExperimentReport",

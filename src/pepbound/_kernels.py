@@ -1,10 +1,8 @@
-"""Compiled numerical kernels: rotations, QZ, LU, Jacobi SVD, refinement.
+"""Numerical kernels: rotations, QZ, LU, Jacobi SVD, refinement.
 
-Every function here is decorated with :func:`pepbound._accel.jit`, so the same
-source runs compiled (numba backend) or as plain Python/NumPy (fallback
-backend).  To keep that dual life cheap, inner updates use NumPy slice
-arithmetic where it vectorises well and scalar loops where extended-precision
-tuples force element work.
+The kernels are plain Python over numpy arrays.  Inner updates use numpy
+slice arithmetic where it vectorises well and scalar loops where
+extended-precision tuples force element work.
 
 Conventions
 -----------
@@ -19,8 +17,9 @@ Conventions
   and a right rotation updates ``Z`` via ``_apply_cols(c, s, Z, ...)``.
 
 All dense kernels expect C-contiguous ``complex128`` matrices and modify them
-in place; status is returned as an integer (0 = success) so the kernels stay
-exception-free under compilation.  Wrappers translate statuses to exceptions.
+in place and return their status as an integer (0 = success); the wrappers
+in :mod:`pepbound.denseig` and :mod:`pepbound.oracle` translate statuses to
+exceptions.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import functools
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, jit
 from .doubledouble import (
     cdd_abs2,
     cdd_add,
@@ -50,7 +48,6 @@ _DEFLATE = 1.0e-14
 # Givens rotation primitives
 # --------------------------------------------------------------------------
 
-@jit
 def _rot_left(a, b):
     """Rotation zeroing ``b`` from the left: returns ``(c, s, r)``.
 
@@ -69,7 +66,6 @@ def _rot_left(a, b):
     return c, s, r
 
 
-@jit
 def _rot_right(a, b):
     """Rotation zeroing ``a`` against ``b`` from the right: returns ``(c, s)``.
 
@@ -87,7 +83,6 @@ def _rot_right(a, b):
     return c, s
 
 
-@jit
 def _apply_rows(c, s, X, i, j, k0):
     """Left rotation on rows ``i`` and ``j`` of ``X``, columns ``k0`` on."""
     xi = X[i, k0:].copy()
@@ -96,7 +91,6 @@ def _apply_rows(c, s, X, i, j, k0):
     X[j, k0:] = c * xj - s.conjugate() * xi
 
 
-@jit
 def _apply_cols(c, s, X, p, q, k1):
     """Right rotation on columns ``p`` and ``q`` of ``X``, rows before ``k1``."""
     xp = X[:k1, p].copy()
@@ -109,7 +103,6 @@ def _apply_cols(c, s, X, p, q, k1):
 # Hessenberg-triangular reduction
 # --------------------------------------------------------------------------
 
-@jit
 def hessenberg_triangular(A, B, Q, Z):
     """Reduce ``(A, B)`` to Hessenberg-triangular form in place.
 
@@ -148,7 +141,6 @@ def hessenberg_triangular(A, B, Q, Z):
 # single-shift QZ iteration
 # --------------------------------------------------------------------------
 
-@jit
 def qz_iterate(H, T, Q, Z):
     """Drive a Hessenberg-triangular pair to generalized Schur form.
 
@@ -255,7 +247,6 @@ def qz_iterate(H, T, Q, Z):
 # LU with partial pivoting (complex) for inverse iteration
 # --------------------------------------------------------------------------
 
-@jit
 def lu_factor(A, piv):
     """In-place LU with partial pivoting; fills ``piv`` with row swaps.
 
@@ -277,7 +268,6 @@ def lu_factor(A, piv):
     return 0
 
 
-@jit
 def lu_solve(A, piv, b):
     """Solve with factors from :func:`lu_factor`; overwrites ``b``.
 
@@ -302,7 +292,6 @@ def lu_solve(A, piv, b):
 # one-sided Jacobi for singular values
 # --------------------------------------------------------------------------
 
-@jit
 def jacobi_singular_values(G):
     """One-sided (Hestenes) Jacobi sweep loop on the columns of ``G``.
 
@@ -376,8 +365,7 @@ def jacobi_singular_values_batch(X):
     inner products reduce contiguous rows).  On return the Euclidean norms
     of the ``X[i, j]`` are the singular values.  The batched form of
     :func:`jacobi_singular_values`, with the same ``1e-15`` rotation
-    threshold, rotation formula and 60-sweep cap; under the numba backend
-    it loops over that compiled kernel.  Otherwise each sweep follows the
+    threshold, rotation formula and 60-sweep cap.  Each sweep follows the
     round-robin ordering, whose rounds rotate disjoint column pairs of
     every unconverged matrix at once; a matrix retires after its first
     sweep without a rotation.  Returns ``(sweeps, converged)``, one entry
@@ -386,12 +374,6 @@ def jacobi_singular_values_batch(X):
     b, n, _ = X.shape
     sweeps = np.zeros(b, dtype=np.int64)
     converged = np.zeros(b, dtype=np.bool_)
-    if NUMBA_ENABLED:
-        for i in range(b):
-            G = np.ascontiguousarray(X[i].T)
-            sweeps[i], converged[i] = jacobi_singular_values(G)
-            X[i] = G.T
-        return sweeps, converged
     tol = 1.0e-15
     rounds = _round_robin_schedule(n)
     active = np.arange(b)
@@ -438,7 +420,6 @@ def jacobi_singular_values_batch(X):
 # complex double-double LU and bordered Newton refinement
 # --------------------------------------------------------------------------
 
-@jit
 def dd_lu_solve(J, rhs):
     """Solve ``J @ delta = rhs`` in complex double-double, in place.
 
@@ -523,7 +504,6 @@ def dd_lu_solve(J, rhs):
     return 0
 
 
-@jit
 def dd_newton_refine(C, lam, x, cvec, tol, maxit, hist):
     """Bordered Newton iteration on ``(P(lam) x, c* x - 1) = 0`` in dd arithmetic.
 

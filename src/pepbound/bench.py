@@ -47,7 +47,7 @@ from .denseig import (
 )
 from .exceptions import DomainError, NumericalError
 from .kronlin import assemble, preset_linearization, recover_eigenvector, right_factor
-from .oracle import RefEigenpair, reference_spectrum
+from .oracle import BASIN_TOL, RefEigenpair, reference_spectrum
 from .polyval import (
     MatrixPolynomial,
     PolySpec,
@@ -133,6 +133,31 @@ def _pair_reference(
     return best, tuple(flags)
 
 
+def _check_reference(P: MatrixPolynomial, refs: list[RefEigenpair]) -> None:
+    """Raise :class:`DomainError` unless ``refs`` is a spectrum of ``P``.
+
+    It must hold ``d*n`` pairs, each with a normwise backward error
+    ``||P(lam) x|| / (sum_i |lam|^i ||A_i||_F * ||x||)`` of at most
+    ``BASIN_TOL``.
+    """
+    if len(refs) != P.d * P.n:
+        raise DomainError(
+            f"reference has {len(refs)} eigenpairs; the polynomial has "
+            f"{P.d * P.n}"
+        )
+    fro = np.linalg.norm(P.coeffs, axis=(1, 2))
+    for k, ref in enumerate(refs):
+        lam, x = ref.lam.value, ref.x_complex
+        scale = sum(abs(lam) ** i * fro[i] for i in range(P.d + 1))
+        eta = residual_norm(P, lam, x) / (scale * np.linalg.norm(x))
+        if not eta <= BASIN_TOL:
+            raise DomainError(
+                f"reference eigenpair {k} (lam = {lam!r}) has backward error "
+                f"{eta:.3e} on this polynomial, above {BASIN_TOL:.0e}; the "
+                "reference is not a spectrum of this polynomial"
+            )
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     reference: list[RefEigenpair] | None = None,
@@ -141,16 +166,20 @@ def run_experiment(
 
     ``reference`` lets callers reuse a precomputed reference spectrum when
     sweeping several linearizations over the same polynomial; by default it
-    is computed here.  Per-eigenpair numerical failures become row flags or
-    diagnostics; only configuration and I/O problems abort the run.
+    is computed here.  A passed reference that is not a spectrum of the
+    polynomial raises :class:`DomainError`.  Per-eigenpair numerical
+    failures become row flags or diagnostics; only configuration and I/O
+    problems abort the run.
     """
     t0 = time.perf_counter()
     P = _build_polynomial(cfg.poly)
     form = preset_linearization(P, cfg.linearization)
     L = assemble(P, form)
-    refs = reference if reference is not None else reference_spectrum(P)
-    if not refs:
-        raise DomainError("empty reference spectrum")
+    if reference is None:
+        refs = reference_spectrum(P)
+    else:
+        _check_reference(P, reference)
+        refs = reference
 
     S = generalized_schur(L.A, L.B)
     evs = eigenvalues(S)

@@ -1,6 +1,6 @@
 """In-house dense complex pencil algebra: QZ, eigenvectors, SVD, separation.
 
-This module wraps the compiled kernels into a small generalized-eigenvalue
+This module wraps the kernels of :mod:`pepbound._kernels` into a small generalized-eigenvalue
 toolkit for pencils ``A - lam*B``:
 
 * :func:`generalized_schur` -- Hessenberg-triangular reduction followed by

@@ -16,11 +16,10 @@ error per operation is O(2**-104) -- far below the 2**-53 of plain doubles --
 which is what lets the bordered Newton iteration certify eigenpair residuals
 near 1e-30.
 
-Values are passed and returned as plain float tuples so the same source
-compiles under the optional JIT backend and runs unchanged as pure Python.
-Nothing here uses fused multiply-add or fast-math: Dekker splitting is only
-exact under strict IEEE semantics, so these routines must never be compiled
-with value-changing optimisations.
+Values are passed and returned as plain float tuples.  Nothing here uses
+fused multiply-add or fast-math: Dekker splitting is only exact under strict
+IEEE semantics, so these routines must never be compiled with value-changing
+optimisations.
 
 Caveats: intermediate overflow in ``two_prod`` (inputs above ~2**996) or
 division by zero produce IEEE infinities/NaNs, which propagate to the result
@@ -28,8 +27,6 @@ rather than raising -- callers surface them by checking finiteness.
 """
 
 from __future__ import annotations
-
-from ._accel import jit
 
 # Dekker's splitting constant for binary64: 2**27 + 1.
 _SPLITTER = 134217729.0
@@ -39,7 +36,6 @@ _SPLITTER = 134217729.0
 # error-free transformations
 # --------------------------------------------------------------------------
 
-@jit
 def two_sum(a: float, b: float) -> tuple[float, float]:
     """Exact addition: ``(s, e)`` with ``s = fl(a + b)`` and ``s + e = a + b``."""
     s = a + b
@@ -48,7 +44,6 @@ def two_sum(a: float, b: float) -> tuple[float, float]:
     return s, e
 
 
-@jit
 def quick_two_sum(a: float, b: float) -> tuple[float, float]:
     """Exact addition assuming ``|a| >= |b|`` (3 flops instead of 6)."""
     s = a + b
@@ -56,7 +51,6 @@ def quick_two_sum(a: float, b: float) -> tuple[float, float]:
     return s, e
 
 
-@jit
 def split(a: float) -> tuple[float, float]:
     """Dekker split of ``a`` into high/low halves with 26/27 significant bits."""
     t = _SPLITTER * a
@@ -65,7 +59,6 @@ def split(a: float) -> tuple[float, float]:
     return hi, lo
 
 
-@jit
 def two_prod(a: float, b: float) -> tuple[float, float]:
     """Exact multiplication: ``(p, e)`` with ``p = fl(a * b)`` and ``p + e = a * b``."""
     p = a * b
@@ -79,7 +72,6 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
 # real double-double arithmetic on (hi, lo) pairs
 # --------------------------------------------------------------------------
 
-@jit
 def dd_add(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     """Double-double addition ``a + b``."""
     sh, se = two_sum(ah, bh)
@@ -90,13 +82,11 @@ def dd_add(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     return quick_two_sum(sh, se)
 
 
-@jit
 def dd_sub(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     """Double-double subtraction ``a - b``."""
     return dd_add(ah, al, -bh, -bl)
 
 
-@jit
 def dd_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     """Double-double multiplication ``a * b``."""
     ph, pe = two_prod(ah, bh)
@@ -104,7 +94,6 @@ def dd_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     return quick_two_sum(ph, pe)
 
 
-@jit
 def dd_scale(ah: float, al: float, b: float) -> tuple[float, float]:
     """Double-double times plain double ``a * b``."""
     ph, pe = two_prod(ah, b)
@@ -112,7 +101,6 @@ def dd_scale(ah: float, al: float, b: float) -> tuple[float, float]:
     return quick_two_sum(ph, pe)
 
 
-@jit
 def dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     """Double-double division ``a / b`` by iterated quotient refinement."""
     q1 = ah / bh
@@ -127,7 +115,6 @@ def dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     return dd_add(qh, ql, q3, 0.0)
 
 
-@jit
 def dd_sqrt(ah: float, al: float) -> tuple[float, float]:
     """Double-double square root (one Newton/Heron step off the double sqrt).
 
@@ -148,7 +135,6 @@ def dd_sqrt(ah: float, al: float) -> tuple[float, float]:
 # complex double-double arithmetic on (re_hi, re_lo, im_hi, im_lo) quadruples
 # --------------------------------------------------------------------------
 
-@jit
 def cdd_add(
     ar: float, arl: float, ai: float, ail: float,
     br: float, brl: float, bi: float, bil: float,
@@ -159,7 +145,6 @@ def cdd_add(
     return rh, rl, ih, il
 
 
-@jit
 def cdd_sub(
     ar: float, arl: float, ai: float, ail: float,
     br: float, brl: float, bi: float, bil: float,
@@ -170,7 +155,6 @@ def cdd_sub(
     return rh, rl, ih, il
 
 
-@jit
 def cdd_mul(
     ar: float, arl: float, ai: float, ail: float,
     br: float, brl: float, bi: float, bil: float,
@@ -187,7 +171,6 @@ def cdd_mul(
     return rh, rl, ih, il
 
 
-@jit
 def cdd_scale(
     ar: float, arl: float, ai: float, ail: float, b: float,
 ) -> tuple[float, float, float, float]:
@@ -197,7 +180,6 @@ def cdd_scale(
     return rh, rl, ih, il
 
 
-@jit
 def cdd_abs2(
     ar: float, arl: float, ai: float, ail: float,
 ) -> tuple[float, float]:
@@ -207,7 +189,6 @@ def cdd_abs2(
     return dd_add(p1h, p1l, p2h, p2l)
 
 
-@jit
 def cdd_div(
     ar: float, arl: float, ai: float, ail: float,
     br: float, brl: float, bi: float, bil: float,

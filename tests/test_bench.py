@@ -3,7 +3,10 @@
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pepbound import _kernels
+from pepbound._accel import thread_count
 from pepbound.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -24,7 +28,12 @@ from pepbound.bench import (
 )
 from pepbound.exceptions import DomainError
 from pepbound.oracle import reference_spectrum
-from pepbound.polyval import MatrixPolynomial, PolySpec, save_polynomial
+from pepbound.polyval import (
+    MatrixPolynomial,
+    PolySpec,
+    random_polynomial,
+    save_polynomial,
+)
 
 
 def _small_config(**kw) -> ExperimentConfig:
@@ -55,7 +64,7 @@ def test_run_experiment_rows_sorted_and_indexed():
     assert mags == sorted(mags)
     assert report.diagnostics == ()
     assert report.config.linearization == "l1"
-    assert report.metadata["backend"] in ("numba", "numpy")
+    assert report.metadata["backend"] == "numpy"
     assert report.metadata["d"] == 3 and report.metadata["n"] == 3
 
 
@@ -74,8 +83,6 @@ def test_run_experiment_deterministic():
 
 
 def test_pipeline_starts_no_threads(monkeypatch):
-    from pepbound.polyval import random_polynomial
-
     def refuse(self):
         raise RuntimeError("the pipeline must not start threads")
 
@@ -87,13 +94,30 @@ def test_pipeline_starts_no_threads(monkeypatch):
 
 
 def test_run_experiment_accepts_precomputed_reference():
-    from pepbound.polyval import random_polynomial
-
     P = random_polynomial(PolySpec(kind="p1", n=3, d=3, seed=4242))
     refs = reference_spectrum(P)
     with_ref = run_experiment(_small_config(), reference=refs)
     without = run_experiment(_small_config())
     assert render_csv(with_ref) == render_csv(without)
+
+
+def test_run_experiment_rejects_reference_of_another_polynomial():
+    # Seed 2's spectrum passed with seed 1's polynomial: the pairs are not
+    # eigenpairs of it, which must be named instead of flagging every row.
+    cfg = _small_config(poly=PolySpec(kind="p1", n=3, d=3, seed=1))
+    other = reference_spectrum(
+        random_polynomial(PolySpec(kind="p1", n=3, d=3, seed=2)))
+    with pytest.raises(DomainError, match="not a spectrum of this polynomial"):
+        run_experiment(cfg, reference=other)
+
+
+def test_run_experiment_rejects_reference_of_wrong_size():
+    cfg = _small_config()
+    refs = reference_spectrum(random_polynomial(cfg.poly))
+    with pytest.raises(DomainError, match="8 eigenpairs"):
+        run_experiment(cfg, reference=refs[:-1])
+    with pytest.raises(DomainError, match="0 eigenpairs"):
+        run_experiment(cfg, reference=[])
 
 
 def test_run_experiment_writes_outputs(tmp_path):
@@ -276,3 +300,57 @@ def test_invariant_suite_all_pass():
         assert ok, (name, detail)
     names = [name for name, _, _ in results]
     assert len(names) == len(set(names))
+
+
+# =======================
+# one backend, one thread, any interpreter
+# =======================
+
+def _run_python(code: str, **env_extra: str) -> str:
+    env = dict(os.environ)
+    env.update(env_extra)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_thread_count_positive():
+    assert thread_count() == 1
+
+
+def test_backend_variable_is_ignored():
+    # The environment selects no backend: any PEPBOUND_BACKEND leaves numpy.
+    code = "import pepbound; print(pepbound.BACKEND)"
+    assert _run_python(code, PEPBOUND_BACKEND="numba").strip() == "numpy"
+
+
+EXPERIMENT_CODE = """
+import sys
+from pepbound.bench import ExperimentConfig, render_csv, run_experiment
+from pepbound.polyval import PolySpec
+
+config = ExperimentConfig(poly=PolySpec(kind="p1", n=4, d=3, seed=5),
+                          linearization="l1")
+report = run_experiment(config)
+sys.stdout.write(render_csv(report))
+"""
+
+
+def test_in_process_report_matches_numpy_subprocess():
+    # A fresh interpreter must give the same rows as this one.
+    config = ExperimentConfig(poly=PolySpec(kind="p1", n=4, d=3, seed=5),
+                              linearization="l1")
+    here = list(csv.DictReader(render_csv(run_experiment(config)).splitlines()))
+    there = list(csv.DictReader(_run_python(EXPERIMENT_CODE).splitlines()))
+    assert len(here) == len(there) == 12
+    for a, b in zip(here, there):
+        assert_allclose(float(a["lambda_re"]), float(b["lambda_re"]),
+                        rtol=1e-10, atol=1e-13)
+        assert_allclose(float(a["sin_angle"]), float(b["sin_angle"]),
+                        rtol=1e-8, atol=1e-12)
