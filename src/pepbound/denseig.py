@@ -1,7 +1,7 @@
 """In-house dense complex pencil algebra: QZ, eigenvectors, SVD, separation.
 
-This module wraps the kernels of :mod:`pepbound._kernels` into a small generalized-eigenvalue
-toolkit for pencils ``A - lam*B``:
+This module wraps the kernels of :mod:`pepbound._kernels` into a small
+generalized-eigenvalue toolkit for pencils ``A - lam*B``:
 
 * :func:`generalized_schur` -- Hessenberg-triangular reduction followed by
   single-shift QZ with deflation, yielding ``A = Q @ TA @ Z*`` and
