@@ -55,7 +55,7 @@ def main() -> None:
     workloads = [
         ("qz %dx%d" % (nqz, nqz), generalized_schur, (A, B)),
         ("svd %dx%d" % (nsv, nsv), singular_values, (G,)),
-        ("dd refine d=4 n=%d" % (4 * scale), reference_spectrum, (P, "l1")),
+        ("reference spectrum d=4 n=%d" % (4 * scale), reference_spectrum, (P, "l1")),
         ("experiment d=4 n=%d" % (5 * scale), run_experiment, (cfg,)),
     ]
     width = max(len(name) for name, _, _ in workloads)

@@ -1,8 +1,12 @@
 """Numerical kernels: rotations, QZ, LU, Jacobi SVD, refinement.
 
-The kernels are plain Python over numpy arrays.  Inner updates use numpy
-slice arithmetic where it vectorises well and scalar loops where
-extended-precision tuples force element work.
+The rotation, QZ, LU and Jacobi kernels are plain Python over numpy arrays
+and use numpy slice arithmetic where it vectorises well.  The double-double
+refinement kernels run on plain float tuples instead, the form the
+:mod:`pepbound.doubledouble` functions take and return: a complex
+double-double value is ``(re_hi, re_lo, im_hi, im_lo)``, a vector is a list
+of such tuples and a matrix is a list of rows, so no value is unpacked
+from or written back to array slots around a call.
 
 Conventions
 -----------
@@ -16,15 +20,17 @@ Conventions
   invariant: a left rotation updates ``Q`` via ``_apply_cols(c, conj(s), Q, ...)``
   and a right rotation updates ``Z`` via ``_apply_cols(c, s, Z, ...)``.
 
-All dense kernels expect C-contiguous ``complex128`` matrices and modify them
-in place and return their status as an integer (0 = success); the wrappers
-in :mod:`pepbound.denseig` and :mod:`pepbound.oracle` translate statuses to
+The numpy kernels expect C-contiguous ``complex128`` matrices and modify
+them in place.  Kernels that can fail report an integer status (0 =
+success), first in the tuple when they return more; the wrappers in
+:mod:`pepbound.denseig` and :mod:`pepbound.oracle` translate statuses to
 exceptions.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -420,268 +426,121 @@ def jacobi_singular_values_batch(X):
 # complex double-double LU and bordered Newton refinement
 # --------------------------------------------------------------------------
 
+_CZERO = (0.0, 0.0, 0.0, 0.0)
+_CONE = (1.0, 0.0, 0.0, 0.0)
+
+
+def _cdd(z):
+    """The complex double ``z`` as a double-double tuple."""
+    return (z.real, 0.0, z.imag, 0.0)
+
+
+def _cdd_dot(row, x, acc=_CZERO, op=cdd_add):
+    """``acc op row[0]*x[0] op row[1]*x[1] ...``, accumulated left to right."""
+    for a, b in zip(row, x):
+        acc = op(*acc, *cdd_mul(*a, *b))
+    return acc
+
+
 def dd_lu_solve(J, rhs):
     """Solve ``J @ delta = rhs`` in complex double-double, in place.
 
-    ``J`` has shape ``(m, m, 4)`` (destroyed), ``rhs`` has shape ``(m, 4)``
-    and holds the solution on exit.  Pivoting maximises the sum of the
-    high-part magnitudes.  Returns 0, or 1 on an exactly-zero pivot.
+    ``J`` is a list of ``m`` rows (destroyed), each a list of ``m`` complex
+    double-double tuples ``(re_hi, re_lo, im_hi, im_lo)``; ``rhs`` is a list
+    of ``m`` such tuples and holds the solution on exit.  Pivoting maximises
+    the sum of the high-part magnitudes.  Returns 0, or 1 on an exactly-zero
+    pivot.
     """
-    m = J.shape[0]
+    m = len(J)
     for k in range(m):
         best = -1.0
         bi = k
         for r in range(k, m):
-            mag = abs(J[r, k, 0]) + abs(J[r, k, 2])
+            mag = abs(J[r][k][0]) + abs(J[r][k][2])
             if mag > best:
                 best = mag
                 bi = r
         if best <= 0.0:
             return 1
-        if bi != k:
-            for cc in range(m):
-                for t in range(4):
-                    tmp = J[k, cc, t]
-                    J[k, cc, t] = J[bi, cc, t]
-                    J[bi, cc, t] = tmp
-            for t in range(4):
-                tmp = rhs[k, t]
-                rhs[k, t] = rhs[bi, t]
-                rhs[bi, t] = tmp
-        pr = J[k, k, 0]
-        prl = J[k, k, 1]
-        pi = J[k, k, 2]
-        pil = J[k, k, 3]
+        J[k], J[bi] = J[bi], J[k]
+        rhs[k], rhs[bi] = rhs[bi], rhs[k]
+        pivot_row = J[k]
         for r in range(k + 1, m):
-            mr, mrl, mi, mil = cdd_div(
-                J[r, k, 0], J[r, k, 1], J[r, k, 2], J[r, k, 3], pr, prl, pi, pil
-            )
-            J[r, k, 0] = mr
-            J[r, k, 1] = mrl
-            J[r, k, 2] = mi
-            J[r, k, 3] = mil
+            row = J[r]
+            mult = cdd_div(*row[k], *pivot_row[k])
             for cc in range(k + 1, m):
-                ar, arl, ai, ail = cdd_mul(
-                    mr, mrl, mi, mil,
-                    J[k, cc, 0], J[k, cc, 1], J[k, cc, 2], J[k, cc, 3],
-                )
-                sr, srl, si, sil = cdd_sub(
-                    J[r, cc, 0], J[r, cc, 1], J[r, cc, 2], J[r, cc, 3],
-                    ar, arl, ai, ail,
-                )
-                J[r, cc, 0] = sr
-                J[r, cc, 1] = srl
-                J[r, cc, 2] = si
-                J[r, cc, 3] = sil
-            ar, arl, ai, ail = cdd_mul(
-                mr, mrl, mi, mil, rhs[k, 0], rhs[k, 1], rhs[k, 2], rhs[k, 3]
-            )
-            sr, srl, si, sil = cdd_sub(
-                rhs[r, 0], rhs[r, 1], rhs[r, 2], rhs[r, 3], ar, arl, ai, ail
-            )
-            rhs[r, 0] = sr
-            rhs[r, 1] = srl
-            rhs[r, 2] = si
-            rhs[r, 3] = sil
+                row[cc] = cdd_sub(*row[cc], *cdd_mul(*mult, *pivot_row[cc]))
+            rhs[r] = cdd_sub(*rhs[r], *cdd_mul(*mult, *rhs[k]))
     for k in range(m - 1, -1, -1):
-        ar = rhs[k, 0]
-        arl = rhs[k, 1]
-        ai = rhs[k, 2]
-        ail = rhs[k, 3]
-        for cc in range(k + 1, m):
-            pr2, prl2, pi2, pil2 = cdd_mul(
-                J[k, cc, 0], J[k, cc, 1], J[k, cc, 2], J[k, cc, 3],
-                rhs[cc, 0], rhs[cc, 1], rhs[cc, 2], rhs[cc, 3],
-            )
-            ar, arl, ai, ail = cdd_sub(ar, arl, ai, ail, pr2, prl2, pi2, pil2)
-        qr, qrl, qi, qil = cdd_div(
-            ar, arl, ai, ail, J[k, k, 0], J[k, k, 1], J[k, k, 2], J[k, k, 3]
-        )
-        rhs[k, 0] = qr
-        rhs[k, 1] = qrl
-        rhs[k, 2] = qi
-        rhs[k, 3] = qil
+        acc = _cdd_dot(J[k][k + 1:], rhs[k + 1:], rhs[k], cdd_sub)
+        rhs[k] = cdd_div(*acc, *J[k][k])
     return 0
 
 
-def dd_newton_refine(C, lam, x, cvec, tol, maxit, hist):
+def dd_newton_refine(coeffs, lam, x, tol, maxit):
     """Bordered Newton iteration on ``(P(lam) x, c* x - 1) = 0`` in dd arithmetic.
 
-    Parameters (all complex double-double on the last axis ``(re_hi, re_lo,
-    im_hi, im_lo)``):
+    * ``coeffs`` -- complex coefficients of ``P``, shape ``(d+1, n, n)``,
+      ascending powers
+    * ``lam``    -- complex seed eigenvalue
+    * ``x``      -- complex seed eigenvector of length ``n``; it is also the
+      frozen normalisation vector ``c``
+    * ``tol``    -- convergence threshold on ``||P(lam) x||_2 / ||x||_2``
+    * ``maxit``  -- cap on the Newton steps
 
-    * ``C``    -- coefficient tensor of shape ``(d+1, n, n, 4)``, ascending powers
-    * ``lam``  -- eigenvalue, shape ``(4,)``, updated in place
-    * ``x``    -- eigenvector, shape ``(n, 4)``, updated in place
-    * ``cvec`` -- frozen normalisation vector, shape ``(n, 4)``
-    * ``tol``  -- convergence threshold on ``||P(lam) x||_2 / ||x||_2``
-    * ``hist`` -- residual history, shape ``(maxit + 1,)``, filled per step
-
-    Returns ``(status, iters, rho)`` with status 0 = converged, 1 = iteration
-    cap reached, 2 = singular Jacobian or non-finite iterate; ``rho`` is the
-    final relative residual.
+    Every complex double-double value is a tuple ``(re_hi, re_lo, im_hi,
+    im_lo)``.  Returns ``(status, iters, rho, lam, x, history)`` with status
+    0 = converged, 1 = iteration cap reached, 2 = singular Jacobian or
+    non-finite iterate; ``rho`` is the final relative residual, ``lam`` and
+    ``x`` are the last iterate (a tuple and a list of ``n`` tuples), and
+    ``history`` lists the relative residual of every step.
     """
-    d = C.shape[0] - 1
-    n = C.shape[1]
-    m = n + 1
-    Pm = np.empty((n, n, 4))
-    v = np.empty((n, 4))
-    Px = np.empty((n, 4))
-    J = np.empty((m, m, 4))
-    rhs = np.empty((m, 4))
+    C = [[[_cdd(z) for z in row] for row in A] for A in coeffs.tolist()]
+    d = len(C) - 1
+    lam = _cdd(lam)
+    x = [_cdd(z) for z in x.tolist()]
+    cconj = [(c[0], c[1], -c[2], -c[3]) for c in x]
+    history = []
     it = 0
     while True:
-        lr = lam[0]
-        lrl = lam[1]
-        li = lam[2]
-        lil = lam[3]
         # P(lam) by Horner on the coefficient matrices.
-        for r in range(n):
-            for cc in range(n):
-                for t in range(4):
-                    Pm[r, cc, t] = C[d, r, cc, t]
+        Pm = C[d]
         for i in range(d - 1, -1, -1):
-            for r in range(n):
-                for cc in range(n):
-                    ar, arl, ai, ail = cdd_mul(
-                        Pm[r, cc, 0], Pm[r, cc, 1], Pm[r, cc, 2], Pm[r, cc, 3],
-                        lr, lrl, li, lil,
-                    )
-                    sr, srl, si, sil = cdd_add(
-                        ar, arl, ai, ail,
-                        C[i, r, cc, 0], C[i, r, cc, 1], C[i, r, cc, 2], C[i, r, cc, 3],
-                    )
-                    Pm[r, cc, 0] = sr
-                    Pm[r, cc, 1] = srl
-                    Pm[r, cc, 2] = si
-                    Pm[r, cc, 3] = sil
+            Pm = [[cdd_add(*cdd_mul(*p, *lam), *c) for p, c in zip(prow, crow)]
+                  for prow, crow in zip(Pm, C[i])]
         # Residual P(lam) x and the norms of both sides.
-        resh = 0.0
-        resl = 0.0
-        nxh = 0.0
-        nxl = 0.0
-        for r in range(n):
-            ar = 0.0
-            arl = 0.0
-            ai = 0.0
-            ail = 0.0
-            for cc in range(n):
-                pr, prl, pi, pil = cdd_mul(
-                    Pm[r, cc, 0], Pm[r, cc, 1], Pm[r, cc, 2], Pm[r, cc, 3],
-                    x[cc, 0], x[cc, 1], x[cc, 2], x[cc, 3],
-                )
-                ar, arl, ai, ail = cdd_add(ar, arl, ai, ail, pr, prl, pi, pil)
-            Px[r, 0] = ar
-            Px[r, 1] = arl
-            Px[r, 2] = ai
-            Px[r, 3] = ail
-            ah, al = cdd_abs2(ar, arl, ai, ail)
-            resh, resl = dd_add(resh, resl, ah, al)
-            ah, al = cdd_abs2(x[r, 0], x[r, 1], x[r, 2], x[r, 3])
-            nxh, nxl = dd_add(nxh, nxl, ah, al)
-        rh, rl = dd_sqrt(resh, resl)
-        nh, nl = dd_sqrt(nxh, nxl)
+        Px = [_cdd_dot(row, x) for row in Pm]
+        res = nx = (0.0, 0.0)
+        for p, xr in zip(Px, x):
+            res = dd_add(*res, *cdd_abs2(*p))
+            nx = dd_add(*nx, *cdd_abs2(*xr))
+        nh, nl = dd_sqrt(*nx)
         if nh == 0.0:
-            return 2, it, np.inf
-        qh, ql = dd_div(rh, rl, nh, nl)
-        rho = qh
-        hist[it] = rho
-        if not np.isfinite(rho):
-            return 2, it, rho
+            return 2, it, math.inf, lam, x, history
+        rho = dd_div(*dd_sqrt(*res), nh, nl)[0]
+        history.append(rho)
+        if not math.isfinite(rho):
+            return 2, it, rho, lam, x, history
         if rho <= tol:
-            return 0, it, rho
+            return 0, it, rho, lam, x, history
         if it >= maxit:
-            return 1, it, rho
+            return 1, it, rho, lam, x, history
         # Derivative vector v = P'(lam) x by the Horner recurrence
         # v <- lam * v + i * (C_i x), seeded with d * (C_d x).
-        for r in range(n):
-            ar = 0.0
-            arl = 0.0
-            ai = 0.0
-            ail = 0.0
-            for cc in range(n):
-                pr, prl, pi, pil = cdd_mul(
-                    C[d, r, cc, 0], C[d, r, cc, 1], C[d, r, cc, 2], C[d, r, cc, 3],
-                    x[cc, 0], x[cc, 1], x[cc, 2], x[cc, 3],
-                )
-                ar, arl, ai, ail = cdd_add(ar, arl, ai, ail, pr, prl, pi, pil)
-            vr, vrl, vi, vil = cdd_scale(ar, arl, ai, ail, float(d))
-            v[r, 0] = vr
-            v[r, 1] = vrl
-            v[r, 2] = vi
-            v[r, 3] = vil
+        v = [cdd_scale(*_cdd_dot(row, x), float(d)) for row in C[d]]
         for i in range(d - 1, 0, -1):
-            for r in range(n):
-                tr, trl, ti, til = cdd_mul(
-                    v[r, 0], v[r, 1], v[r, 2], v[r, 3], lr, lrl, li, lil
-                )
-                ar = 0.0
-                arl = 0.0
-                ai = 0.0
-                ail = 0.0
-                for cc in range(n):
-                    pr, prl, pi, pil = cdd_mul(
-                        C[i, r, cc, 0], C[i, r, cc, 1], C[i, r, cc, 2], C[i, r, cc, 3],
-                        x[cc, 0], x[cc, 1], x[cc, 2], x[cc, 3],
-                    )
-                    ar, arl, ai, ail = cdd_add(ar, arl, ai, ail, pr, prl, pi, pil)
-                ur, url, ui, uil = cdd_scale(ar, arl, ai, ail, float(i))
-                vr, vrl, vi, vil = cdd_add(tr, trl, ti, til, ur, url, ui, uil)
-                v[r, 0] = vr
-                v[r, 1] = vrl
-                v[r, 2] = vi
-                v[r, 3] = vil
+            v = [cdd_add(*cdd_mul(*vr, *lam), *cdd_scale(*_cdd_dot(row, x), float(i)))
+                 for vr, row in zip(v, C[i])]
         # Bordered Jacobian [[P(lam), P'(lam) x], [c*, 0]] and right-hand side.
-        for r in range(n):
-            for cc in range(n):
-                for t in range(4):
-                    J[r, cc, t] = Pm[r, cc, t]
-            for t in range(4):
-                J[r, n, t] = v[r, t]
-            rhs[r, 0] = -Px[r, 0]
-            rhs[r, 1] = -Px[r, 1]
-            rhs[r, 2] = -Px[r, 2]
-            rhs[r, 3] = -Px[r, 3]
-        for cc in range(n):
-            J[n, cc, 0] = cvec[cc, 0]
-            J[n, cc, 1] = cvec[cc, 1]
-            J[n, cc, 2] = -cvec[cc, 2]
-            J[n, cc, 3] = -cvec[cc, 3]
-        for t in range(4):
-            J[n, n, t] = 0.0
-        ar = 1.0
-        arl = 0.0
-        ai = 0.0
-        ail = 0.0
-        for cc in range(n):
-            pr, prl, pi, pil = cdd_mul(
-                cvec[cc, 0], cvec[cc, 1], -cvec[cc, 2], -cvec[cc, 3],
-                x[cc, 0], x[cc, 1], x[cc, 2], x[cc, 3],
-            )
-            ar, arl, ai, ail = cdd_sub(ar, arl, ai, ail, pr, prl, pi, pil)
-        rhs[n, 0] = ar
-        rhs[n, 1] = arl
-        rhs[n, 2] = ai
-        rhs[n, 3] = ail
+        J = [prow + [vr] for prow, vr in zip(Pm, v)] + [cconj + [_CZERO]]
+        rhs = [(-a, -b, -c, -e) for a, b, c, e in Px]
+        # 1 - c* x subtracts term by term from one: summing c* x first and
+        # subtracting once rounds differently.
+        rhs.append(_cdd_dot(cconj, x, _CONE, cdd_sub))
         if dd_lu_solve(J, rhs) != 0:
-            return 2, it, rho
-        for r in range(n):
-            xr, xrl, xi, xil = cdd_add(
-                x[r, 0], x[r, 1], x[r, 2], x[r, 3],
-                rhs[r, 0], rhs[r, 1], rhs[r, 2], rhs[r, 3],
-            )
-            x[r, 0] = xr
-            x[r, 1] = xrl
-            x[r, 2] = xi
-            x[r, 3] = xil
-        l0, l1, l2, l3 = cdd_add(
-            lam[0], lam[1], lam[2], lam[3],
-            rhs[n, 0], rhs[n, 1], rhs[n, 2], rhs[n, 3],
-        )
-        lam[0] = l0
-        lam[1] = l1
-        lam[2] = l2
-        lam[3] = l3
-        if not (np.isfinite(lam[0]) and np.isfinite(lam[2])):
-            return 2, it, rho
+            return 2, it, rho, lam, x, history
+        x = [cdd_add(*xr, *dr) for xr, dr in zip(x, rhs)]
+        lam = cdd_add(*lam, *rhs[-1])
+        if not (math.isfinite(lam[0]) and math.isfinite(lam[2])):
+            return 2, it, rho, lam, x, history
         it += 1

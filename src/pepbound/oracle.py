@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import dd_newton_refine
-from .denseig import gep_eigenpairs, spectral_norm
+from .denseig import gep_eigenpairs, smallest_singular_value, spectral_norm
 from .doubledouble import cdd_div
 from .exceptions import (
     DomainError,
@@ -36,7 +36,13 @@ from .exceptions import (
     SingularJacobian,
 )
 from .kronlin import assemble, preset_linearization, recover_eigenvector
-from .polyval import MatrixPolynomial, polynomial_from_document, rev, save_polynomial
+from .polyval import (
+    MatrixPolynomial,
+    polynomial_from_document,
+    residual_norm,
+    rev,
+    save_polynomial,
+)
 
 __all__ = [
     "ExtendedComplex",
@@ -120,13 +126,6 @@ class RefEigenpair:
         return (self.x[:, 0] + self.x[:, 1]) + 1j * (self.x[:, 2] + self.x[:, 3])
 
 
-def _dd_coeff_tensor(P: MatrixPolynomial) -> np.ndarray:
-    C = np.zeros((P.d + 1, P.n, P.n, 4), dtype=np.float64)
-    C[..., 0] = P.coeffs.real
-    C[..., 2] = P.coeffs.imag
-    return C
-
-
 def _max_coeff_norm(P: MatrixPolynomial) -> float:
     return max(spectral_norm(P.coeffs[i]) for i in range(P.d + 1))
 
@@ -174,8 +173,6 @@ def refine_eigenpair(
         Q = P
         mu = lam
 
-    from .polyval import residual_norm
-
     seed_res = residual_norm(Q, mu, x)
     if seed_res > BASIN_TOL * maxA:
         raise DomainError(
@@ -183,15 +180,8 @@ def refine_eigenpair(
             % (seed_res, BASIN_TOL * maxA)
         )
 
-    C = _dd_coeff_tensor(Q)
-    lam_dd = np.array([mu.real, 0.0, mu.imag, 0.0])
-    x_dd = np.zeros((P.n, 4))
-    x_dd[:, 0] = x.real
-    x_dd[:, 2] = x.imag
-    cvec = x_dd.copy()
-    hist = np.zeros(MAX_ITERATIONS + 1)
-    status, iters, rho = dd_newton_refine(
-        C, lam_dd, x_dd, cvec, RESIDUAL_TOL * maxA, MAX_ITERATIONS, hist
+    status, iters, rho, lam_dd, x_dd, hist = dd_newton_refine(
+        Q.coeffs, mu, x, RESIDUAL_TOL * maxA, MAX_ITERATIONS
     )
     if status == 2:
         raise SingularJacobian(
@@ -200,23 +190,18 @@ def refine_eigenpair(
         )
 
     if use_rev:
-        rh, rl, ih, il = cdd_div(
-            1.0, 0.0, 0.0, 0.0, lam_dd[0], lam_dd[1], lam_dd[2], lam_dd[3]
-        )
-        lam_out = ExtendedComplex(rh, rl, ih, il)
-    else:
-        lam_out = ExtendedComplex.from_array(lam_dd)
+        lam_dd = cdd_div(1.0, 0.0, 0.0, 0.0, *lam_dd)
 
     # Normalize the refined vector to unit norm (double-double scale factor
     # is unnecessary: the bordered constraint keeps ||x|| = O(1), and the
     # angle/residual consumers renormalize in their own precision).
     return RefEigenpair(
-        lam=lam_out,
+        lam=ExtendedComplex(*lam_dd),
         x=x_dd,
-        residual=float(rho),
+        residual=rho,
         converged=(status == 0),
-        iterations=int(iters),
-        history=tuple(hist[: iters + 1]),
+        iterations=iters,
+        history=hist,
     )
 
 
@@ -259,9 +244,6 @@ def reference_spectrum(
     Eigenvalues closer than ``1e-8 * (1 + |lam|)`` to another one are marked
     ``clustered``.
     """
-    from .denseig import smallest_singular_value
-    from .polyval import residual_norm
-
     maxA = _max_coeff_norm(P)
     if maxA == 0.0:
         raise DomainError("zero polynomial has no spectrum")

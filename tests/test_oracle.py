@@ -5,10 +5,15 @@ coefficients whose eigenvalues are known in closed form, so refined values
 can be compared against exact answers rather than against the solver itself.
 """
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from pepbound._kernels import dd_lu_solve
+from pepbound.doubledouble import cdd_mul, cdd_sub
 from pepbound.exceptions import (
     DomainError,
     InfiniteEigenvalue,
@@ -152,6 +157,59 @@ def test_refine_singular_jacobian():
         refine_eigenpair(P, 0.3, seed_x)
 
 
+def test_refine_iteration_cap_keeps_the_seed(monkeypatch):
+    from pepbound import oracle
+
+    monkeypatch.setattr(oracle, "MAX_ITERATIONS", 0)
+    D = np.diag([0.5, -0.75]).astype(np.complex128)
+    P = MatrixPolynomial(np.stack([-D, np.eye(2, dtype=np.complex128)]))
+    lam = 0.5 + 1e-7j
+    x = np.array([1.0, 1e-7 - 2e-7j])
+    ref = refine_eigenpair(P, lam, x)
+    assert not ref.converged
+    assert ref.iterations == 0
+    assert len(ref.history) == 1 and ref.history[0] == ref.residual > 0.0
+    assert_array_equal(ref.lam.as_array(), [lam.real, 0.0, lam.imag, 0.0])
+    x = x / np.linalg.norm(x)
+    zeros = np.zeros(2)
+    assert_array_equal(ref.x, np.column_stack([x.real, zeros, x.imag, zeros]))
+
+
+# =======================
+# complex double-double LU
+# =======================
+
+def _dd_tuple(z: complex) -> tuple:
+    return (z.real, 0.0, z.imag, 0.0)
+
+
+def test_dd_lu_solve_pivots_to_a_tiny_residual():
+    gen = SplitMix64(4)
+    A = gen.complex_normal_matrix(6, 6)
+    A[0, 0] = 0.0  # the first step must swap rows
+    b = gen.complex_normal_matrix(6, 1)[:, 0]
+    J = [[_dd_tuple(z) for z in row] for row in A.tolist()]
+    sol = [_dd_tuple(z) for z in b.tolist()]
+    assert dd_lu_solve([list(row) for row in J], sol) == 0
+    x = np.array([complex(s[0] + s[1], s[2] + s[3]) for s in sol])
+    assert_allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-13)
+    # residual b - A x in double-double, relative to ||b||
+    worst = 0.0
+    for row, bi in zip(J, b.tolist()):
+        r = _dd_tuple(bi)
+        for a, xk in zip(row, sol):
+            r = cdd_sub(*r, *cdd_mul(*a, *xk))
+        worst = max(worst, abs(complex(r[0] + r[1], r[2] + r[3])))
+    assert worst <= 1e-28 * np.linalg.norm(b)
+
+
+def test_dd_lu_solve_reports_a_zero_pivot_column():
+    one = (1.0, 0.0, 0.0, 0.0)
+    zero = (0.0, 0.0, 0.0, 0.0)
+    J = [[zero, one, one], [zero, one, zero], [zero, zero, one]]
+    assert dd_lu_solve(J, [one, one, one]) == 1
+
+
 # =======================
 # full reference spectra
 # =======================
@@ -194,6 +252,42 @@ def test_reference_spectrum_flags_clusters():
     flags = [r.clustered for r in refs]
     assert flags == [True, True, False]
     assert all(r.converged for r in refs)
+
+
+# =======================
+# bit stability
+# =======================
+
+def _sha256_of_words(refs) -> str:
+    words = []
+    for r in refs:
+        words += [r.lam.re_hi, r.lam.re_lo, r.lam.im_hi, r.lam.im_lo,
+                  *r.x.ravel(), r.residual, *r.history]
+    return hashlib.sha256(struct.pack("<%dd" % len(words), *words)).hexdigest()
+
+
+def test_reference_words_are_bit_stable():
+    # Pins every double-double word (signs of zero included) of the lam, x,
+    # residual and history fields.  A change to the order of the refinement
+    # arithmetic moves the low words and breaks these digests.
+    P = random_polynomial(PolySpec(kind="p1", n=2, d=2, seed=5))
+    refs = reference_spectrum(P)
+    assert _sha256_of_words(refs) == (
+        "34259b498a00e2edac473f0b223751c7f2e1fda3cc6087c168173e789f7a8929")
+
+    # p2 puts four eigenvalues above 1, which are refined on the reversal
+    P2 = random_polynomial(PolySpec(kind="p2", n=2, d=5, seed=4))
+    refs2 = reference_spectrum(P2)
+    assert sum(abs(r.lam.value) > 1.0 for r in refs2) == 4
+    assert _sha256_of_words(refs2) == (
+        "f4a3cf8769365d7200b86716def4ef90ed484e93503821815e7ee76fc37c9cfb")
+
+    r = refs[0]
+    ref = refine_eigenpair(P, r.lam.value + 1e-6 * (1 + 1j),
+                           r.x_complex + 1e-6 * np.array([1.0, -1j]))
+    assert ref.converged and ref.iterations == 3
+    assert _sha256_of_words([ref]) == (
+        "54ba87b97d80d75a02c32fb9e701ab1927d7ca09f188ee7328ea42d8a7e423ac")
 
 
 # =======================
